@@ -191,3 +191,70 @@ func TestDirtyWindowsMatchesComposition(t *testing.T) {
 		}
 	}
 }
+
+// TestFlipPackedIsXORDelta: Packed is XOR-linear, so toggling one cell of
+// any window changes its packed masks by exactly FlipPacked of that cell's
+// offset — for all 25 offsets of the 5×5 square, over random windows. Offsets
+// outside the square are read by no packed bit and flip nothing.
+func TestFlipPackedIsXORDelta(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 31))
+	for trial := 0; trial < 2000; trial++ {
+		win := Window(rng.Uint32() & (1<<25 - 1))
+		for dy := -2; dy <= 2; dy++ {
+			for dx := -2; dx <= 2; dx++ {
+				off := lattice.Point{X: dx, Y: dy}
+				flipped := win ^ 1<<winPos(dx, dy)
+				if got, want := win.Packed()^FlipPacked(off), flipped.Packed(); got != want {
+					t.Fatalf("window %025b offset %v: Packed^FlipPacked %016x, Packed of flipped window %016x",
+						win, off, got, want)
+				}
+			}
+		}
+	}
+	for _, off := range []lattice.Point{{X: 3, Y: 0}, {X: 0, Y: -3}, {X: -3, Y: 3}} {
+		if pm := FlipPacked(off); pm != 0 {
+			t.Fatalf("offset %v outside the window flips %016x", off, pm)
+		}
+	}
+}
+
+// TestDirtyOccupancyMatchesOccupiedNearPair: bit k of DirtyOccupancy is set
+// exactly for the dirty offsets OccupiedNearPair reports, on the interior
+// fast path and the near-border fallback alike.
+func TestDirtyOccupancyMatchesOccupiedNearPair(t *testing.T) {
+	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+		if n := len(DirtyOffsets(d)); n > 32 {
+			t.Fatalf("dir %v: %d dirty offsets do not fit a uint32", d, n)
+		}
+	}
+	rng := rand.New(rand.NewPCG(37, 41))
+	for trial := 0; trial < 300; trial++ {
+		var pts []lattice.Point
+		p := lattice.Point{}
+		for i := 0; i < 40; i++ {
+			pts = append(pts, p)
+			p = p.Neighbor(lattice.Dir(rng.IntN(lattice.NumDirs)))
+		}
+		g := New(pts, minSlack)
+		// Query points up to 6 cells off the configuration reach past the
+		// window border, so the fallback path is exercised too.
+		l := pts[rng.IntN(len(pts))].Add(lattice.Point{X: rng.IntN(13) - 6, Y: rng.IntN(13) - 6})
+		d := lattice.Dir(rng.IntN(lattice.NumDirs))
+		occ := g.DirtyOccupancy(l, d)
+		var got []lattice.Point
+		for k, off := range DirtyOffsets(d) {
+			if occ>>k&1 == 1 {
+				got = append(got, l.Add(off))
+			}
+		}
+		want := g.OccupiedNearPair(l, d, nil)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d occupied dirty cells, OccupiedNearPair %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: cell %d: got %v, want %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}

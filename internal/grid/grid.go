@@ -132,6 +132,55 @@ func DirtyOffsets(d lattice.Dir) []lattice.Point {
 	return dirtyOffsets[d]
 }
 
+// dirtyRowTab[d][r][v] is the DirtyOccupancy contribution of row r of the
+// 7×7 square around ℓ (dy = r−3) when its cells dx = −3..3 read v (bit
+// dx+3): the dirty offsets span [−3, 3]², so seven row reads and seven
+// lookups gather the whole bitmask.
+var dirtyRowTab = func() (tab [lattice.NumDirs][7][128]uint32) {
+	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+		for k, off := range dirtyOffsets[d] {
+			r, c := off.Y+3, uint(off.X+3)
+			for v := range tab[d][r] {
+				if v>>c&1 == 1 {
+					tab[d][r][v] |= 1 << k
+				}
+			}
+		}
+	}
+	return tab
+}()
+
+// DirtyOccupancy returns the occupancy of the dirty neighborhood of the move
+// pair (ℓ, ℓ′ = ℓ+d) as one bitmask: bit k is set iff ℓ + DirtyOffsets(d)[k]
+// is occupied. It is OccupiedNearPair without the point list, for engines
+// that keep their own per-cell state keyed by offset.
+func (g *Grid) DirtyOccupancy(l lattice.Point, d lattice.Dir) uint32 {
+	var m uint32
+	cx, cy := l.X-g.minX, l.Y-g.minY
+	if cx < 3 || cy < 3 || cx >= g.w-3 || cy >= g.h-3 {
+		// Near the border (or outside the window): per-cell bounds checks.
+		for k, off := range dirtyOffsets[d] {
+			if g.Has(l.Add(off)) {
+				m |= 1 << k
+			}
+		}
+		return m
+	}
+	tab := &dirtyRowTab[d]
+	sb := g.stride << 6
+	s := (cy-3)*sb + cx - 3
+	for r := range tab {
+		q, sh := s>>6, uint(s&63)
+		w := g.words[q] >> sh
+		if sh > 57 {
+			w |= g.words[q+1] << (64 - sh)
+		}
+		m |= tab[r][w&127]
+		s += sb
+	}
+	return m
+}
+
 // Grid is the bit-packed occupancy window. The zero value is not usable;
 // construct with New.
 type Grid struct {
@@ -590,6 +639,19 @@ func buildPackTab(from, to uint) []PackedMasks {
 // Packed assembles the cell's full move classification from the window.
 func (w Window) Packed() PackedMasks {
 	return packLo[w&(1<<packShift-1)] | packHi[w>>packShift]
+}
+
+// FlipPacked returns the PackedMasks of the window whose only occupied cell
+// is the one at offset off from the center, or zero when off lies outside
+// the 5×5 square. Packed is XOR-linear — every packed bit reads exactly one
+// window cell — so flipping the occupancy of the cell at off changes any
+// window's packed masks by exactly this value. Engines caching PackedMasks
+// per cell update them by XOR instead of re-extracting windows.
+func FlipPacked(off lattice.Point) PackedMasks {
+	if off.X < -2 || off.X > 2 || off.Y < -2 || off.Y > 2 {
+		return 0
+	}
+	return (Window(1) << winPos(off.X, off.Y)).Packed()
 }
 
 // NeighborMask returns the 6-bit neighbor occupancy, bit d = u(d).

@@ -23,15 +23,22 @@
 // measurements, 200·n² stopping rules, and statistics transfer unchanged;
 // only the trajectory's random-number consumption differs.
 //
-// After each applied translation (ℓ → ℓ′) only the particles whose
-// neighborhood masks can see ℓ or ℓ′ — the dirty neighborhood enumerated by
-// grid.OccupiedNearPair / grid.DirtyWindows, a constant-size set — are
-// re-classified; a payload rotation dirties only the rotating cell's own
-// radius-2 neighborhood (grid.OccupiedNearCell). An event therefore costs
-// O(log n) for the weighted sampling plus O(1) reweighting. Per-slot
-// weights come from the same compiled rule tables the Metropolis engine
-// uses: the two engines cannot disagree on the move set by construction,
-// and rule.Compression(λ) reproduces the pre-rule engine bit for bit.
+// For stateless rules the engine caches every particle's full move
+// classification — its six pair masks and neighbor occupancy, one
+// grid.PackedMasks word — and keeps it exact with bit operations. After a
+// translation ℓ → ℓ′ only the particles whose masks can see ℓ or ℓ′ (the
+// dirty neighborhood, grid.DirtyOffsets, a constant-size set read as one
+// occupancy bitmask by grid.DirtyOccupancy) are touched: because packing is
+// XOR-linear, each bystander's cached word changes by a fixed per-direction,
+// per-offset XOR, and its weight is refolded only when that XOR reaches a
+// byte the fold reads. Only the moved particle re-extracts a window. Payload
+// rules re-price the dirty neighborhood through the payload tables instead;
+// a payload rotation dirties only the rotating cell's own radius-2
+// neighborhood (grid.OccupiedNearCell). An event therefore costs O(log n)
+// for the weighted sampling plus O(1) reweighting. Per-slot weights come
+// from the same compiled rule tables the Metropolis engine uses: the two
+// engines cannot disagree on the move set by construction, and
+// rule.Compression(λ) reproduces the pre-rule engine bit for bit.
 package kmc
 
 import (
@@ -54,6 +61,43 @@ const rebuildEvery = 1 << 16
 // rngStream is the fixed second PCG seed word; New and Reset must use the
 // same value so a Reset chain replays a fresh chain's randomness exactly.
 const rngStream = 0x9e3779b97f4a7c15
+
+// xorDelta[d][k] is the change a translation ℓ → ℓ′ = ℓ+u(d) makes to the
+// packed masks of the cell at ℓ + grid.DirtyOffsets(d)[k]: that cell sees ℓ
+// vacate and ℓ′ fill, and packing is XOR-linear (grid.FlipPacked). selfK[d]
+// is the k of ℓ′ itself, whose masks are re-extracted instead.
+var xorDelta, selfK = buildXorDelta()
+
+func buildXorDelta() (xd [lattice.NumDirs][32]grid.PackedMasks, self [lattice.NumDirs]int) {
+	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+		v := d.Vec()
+		for k, off := range grid.DirtyOffsets(d) {
+			if off == v {
+				self[d] = k
+				continue
+			}
+			xd[d][k] = grid.FlipPacked(lattice.Point{}.Sub(off)) ^ grid.FlipPacked(v.Sub(off))
+		}
+	}
+	return xd, self
+}
+
+// foldBytes[nb] selects the packed-mask bits a weight fold reads for a cell
+// with neighbor occupancy nb: the neighbor byte and the pair-mask byte of
+// every empty direction. A mask change outside them leaves the weight
+// bit-identical.
+var foldBytes = func() (t [1 << lattice.NumDirs]grid.PackedMasks) {
+	for nb := range t {
+		m := grid.PackedMasks(1<<lattice.NumDirs-1) << 48
+		for d := 0; d < lattice.NumDirs; d++ {
+			if nb>>d&1 == 0 {
+				m |= 0xff << (8 * d)
+			}
+		}
+		t[nb] = m
+	}
+	return t
+}()
 
 // Option customizes a Chain. The ablation variants mirror internal/chain so
 // differential tests can compare ablated engines too.
@@ -93,6 +137,9 @@ type Chain struct {
 	// exact recomputation over its slots; the Fenwick tree mirrors it up
 	// to floating-point drift.
 	wj []float64
+	// pm[i] is particle i's cached move classification, always equal to
+	// Window(points[i]).Packed() (stateless rules only; empty otherwise).
+	pm []grid.PackedMasks
 
 	// Bias-epoch machinery (biased rules only). The effective λ is constant
 	// on [epoch, epochEnd); every maintained weight is priced at
@@ -118,7 +165,6 @@ type Chain struct {
 	hold               uint64
 	holesGone          bool
 	eventsSinceRebuild int
-	dirtyBuf           []grid.CellWindow
 	dirtyPts           []lattice.Point
 	// slotBuf holds the fired particle's slot weights during event
 	// sampling; payBuf is particleWeightPay's scratch, kept separate so
@@ -213,12 +259,8 @@ func (c *Chain) init(sigma0 *config.Config, seed uint64) error {
 	c.wTab = c.ru.WeightTable()
 	c.hval = c.ru.Energy(c.g)
 	c.idx = newPindex(c.points)
-	c.wj = make([]float64, len(c.points))
 	c.fen = newFenwick(len(c.points))
-	for i, p := range c.points {
-		c.wj[i] = c.particleWeight(p)
-	}
-	c.fen.rebuild(c.wj)
+	c.priceAll()
 	c.holesGone = !sigma0.HasHoles()
 	return nil
 }
@@ -259,18 +301,14 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 		for _, p := range c.points {
 			c.g.SetPayload(p, uint8(c.rng.IntN(states)))
 		}
-		c.slotBuf = resizeFloats(c.slotBuf, c.slots)
-		c.payBuf = resizeFloats(c.payBuf, c.slots)
+		c.slotBuf = resize(c.slotBuf, c.slots)
+		c.payBuf = resize(c.payBuf, c.slots)
 	}
 	c.wTab = c.ru.WeightTable()
 	c.hval = c.ru.Energy(c.g)
 	c.idx.reshape(c.points)
-	c.wj = resizeFloats(c.wj, len(c.points))
 	c.fen.reset(len(c.points))
-	for i, p := range c.points {
-		c.wj[i] = c.particleWeight(p)
-	}
-	c.fen.rebuild(c.wj)
+	c.priceAll()
 	c.steps, c.events, c.moves, c.rots = 0, 0, 0, 0
 	c.hold = 0
 	c.eventsSinceRebuild = 0
@@ -278,13 +316,34 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 	return nil
 }
 
-// resizeFloats returns a slice of length n, reusing buf's capacity when it
+// resize returns a slice of length n, reusing buf's capacity when it
 // suffices. Contents are unspecified; callers overwrite every element.
-func resizeFloats(buf []float64, n int) []float64 {
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
+}
+
+// priceAll fills every particle's weight — and, for stateless rules, its
+// cached masks, pricing the weight from them in the same pass — then builds
+// the Fenwick tree exactly.
+func (c *Chain) priceAll() {
+	c.wj = resize(c.wj, len(c.points))
+	if c.stateless {
+		c.pm = resize(c.pm, len(c.points))
+		for i, p := range c.points {
+			pm := c.g.Window(p).Packed()
+			c.pm[i] = pm
+			c.wj[i] = c.weightPacked(pm, p)
+		}
+	} else {
+		c.pm = c.pm[:0]
+		for i, p := range c.points {
+			c.wj[i] = c.particleWeightPay(p)
+		}
+	}
+	c.fen.rebuild(c.wj)
 }
 
 // Grid exposes the chain's live occupancy grid for read-only observation;
@@ -309,21 +368,31 @@ func MustNewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) *Chain {
 	return c
 }
 
-// particleWeight recomputes the total acceptance weight of the particle at
-// p: the sum over its slots of the slot weight. For stateless rules one
-// Window extraction serves all six directions, and fully surrounded
-// particles (the common case inside a compressed cluster) return without
-// assembling any mask. The summation order is fixed (directions ascending,
-// then rotation targets ascending), so equal configurations always produce
-// bit-identical weights.
+// particleWeight recomputes from scratch the total acceptance weight of the
+// particle at p: the sum over its slots of the slot weight. For stateless
+// rules one Window extraction serves all six directions. The summation
+// order is fixed (directions ascending, then rotation targets ascending),
+// so equal configurations always produce bit-identical weights.
 func (c *Chain) particleWeight(p lattice.Point) float64 {
 	if c.stateless {
-		if c.biased {
-			return c.weightFromWindowLd(c.g.Window(p), c.lcache.At(c.epoch, p))
-		}
-		return c.weightFromWindow(c.g.Window(p))
+		return c.weightPacked(c.g.Window(p).Packed(), p)
 	}
 	return c.particleWeightPay(p)
+}
+
+// weightPacked prices a stateless particle at p from its packed masks.
+func (c *Chain) weightPacked(pm grid.PackedMasks, p lattice.Point) float64 {
+	_, w := foldPacked(pm, c.weights(p))
+	return w
+}
+
+// weights returns the slot-weight table for a stateless particle at p: the
+// rule's fixed-λ table, or the current bias epoch's ladder at λ(p).
+func (c *Chain) weights(p lattice.Point) *[256]float64 {
+	if c.biased {
+		return c.lcache.At(c.epoch, p).WeightTable()
+	}
+	return &c.wTab
 }
 
 // ldAt returns the pricing ladder for the particle at p in the current
@@ -335,32 +404,38 @@ func (c *Chain) ldAt(p lattice.Point) *rule.Ladder {
 	return c.lcache.At(c.epoch, p)
 }
 
-// weightFromWindow computes a stateless particle's total weight from its
-// extracted 5×5 window: two packed-table loads, then one weight-table
-// lookup per unoccupied direction, summed in direction order (the order
-// fixes the floating-point fold, keeping weights bit-reproducible).
-func (c *Chain) weightFromWindow(win grid.Window) float64 {
-	pm := win.Packed()
-	empty := ^pm.NeighborMask() & (1<<lattice.NumDirs - 1)
-	var sum float64
-	for ; empty != 0; empty &= empty - 1 {
-		d := bits.TrailingZeros8(empty)
-		sum += c.wTab[uint8(pm>>(8*d))]
+// emptyDir[nb][d] is 1 when direction d is unoccupied under neighbor mask
+// nb, and 0 when it is occupied.
+var emptyDir = func() (t [1 << lattice.NumDirs][lattice.NumDirs]float64) {
+	for nb := range t {
+		for d := range t[nb] {
+			if nb>>d&1 == 0 {
+				t[nb][d] = 1
+			}
+		}
 	}
-	return sum
-}
+	return t
+}()
 
-// weightFromWindowLd is weightFromWindow pricing through a bias ladder
-// instead of the fixed-λ table, with the identical direction-order fold.
-func (c *Chain) weightFromWindowLd(win grid.Window, ld *rule.Ladder) float64 {
-	pm := win.Packed()
-	empty := ^pm.NeighborMask() & (1<<lattice.NumDirs - 1)
-	var sum float64
-	for ; empty != 0; empty &= empty - 1 {
-		d := bits.TrailingZeros8(empty)
-		sum += ld.Weight(grid.Mask(uint8(pm >> (8 * d))))
+// foldPacked returns a stateless particle's six translation slot weights
+// and their sum from its packed masks, pricing each pair mask through tab.
+// An occupied direction weighs table weight × 0, an exact zero, and adding
+// zero leaves a sum unchanged, so this branch-free fold in direction order
+// equals the sum over the unoccupied directions alone, bit for bit. Every
+// stateless consumer — the maintained wj, the event sampler — folds here,
+// so the sampler's slot sum is wj[i] exactly. Fully surrounded particles,
+// most of a compressed cluster, have no moves and skip the fold.
+func foldPacked(pm grid.PackedMasks, tab *[256]float64) (ws [lattice.NumDirs]float64, sum float64) {
+	nb := pm.NeighborMask()
+	if nb == 1<<lattice.NumDirs-1 {
+		return ws, 0
 	}
-	return sum
+	on := &emptyDir[nb]
+	for d := range ws {
+		ws[d] = tab[uint8(pm>>(8*d))] * on[d]
+		sum += ws[d]
+	}
+	return ws, sum
 }
 
 // priceSlots fills ws (length Slots) with the payload particle's per-slot
@@ -454,25 +529,17 @@ func (c *Chain) TotalWeight() float64 { return c.fen.total() }
 // ParticleWeight returns the maintained total weight of particle i.
 func (c *Chain) ParticleWeight(i int) float64 { return c.wj[i] }
 
-// SlotWeights recomputes the six per-direction translation weights of
-// particle i. Together with RotationWeights their sum equals
-// ParticleWeight(i).
+// SlotWeights returns the six per-direction translation weights of particle
+// i as the event sampler sees them: priced from the cached packed masks for
+// stateless rules, recomputed from the grid for payload rules. Together with
+// RotationWeights their sum equals ParticleWeight(i).
 func (c *Chain) SlotWeights(i int) [lattice.NumDirs]float64 {
-	var ws [lattice.NumDirs]float64
 	p := c.points[i]
 	if c.stateless {
-		ld := c.ldAt(p)
-		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
-			if !c.g.Has(p.Neighbor(d)) {
-				if ld != nil {
-					ws[d] = ld.Weight(c.g.PairMask(p, d))
-				} else {
-					ws[d] = c.wTab[c.g.PairMask(p, d)]
-				}
-			}
-		}
+		ws, _ := foldPacked(c.pm[i], c.weights(p))
 		return ws
 	}
+	var ws [lattice.NumDirs]float64
 	buf := make([]float64, c.slots)
 	c.priceSlots(p, c.g.Payload(p), buf, c.ldAt(p))
 	copy(ws[:], buf[:lattice.NumDirs])
@@ -588,32 +655,15 @@ func (c *Chain) fireEvent() bool {
 }
 
 // fireTranslation is the stateless fast path: direction ∝ slot weight from
-// the packed window, then apply and re-classify via the fused DirtyWindows
-// sweep.
+// the cached packed masks, then apply and update the dirty neighborhood's
+// cached masks by XOR.
 func (c *Chain) fireTranslation(i int) {
 	l := c.points[i]
 
-	// Direction ∝ slot weight, from freshly recomputed slots (their sum is
-	// the authoritative wj[i] by construction).
-	var ws [lattice.NumDirs]float64
-	var sum float64
-	pm := c.g.Window(l).Packed()
-	if c.biased {
-		ld := c.lcache.At(c.epoch, l)
-		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
-			if pm.NeighborMask()>>d&1 == 0 {
-				ws[d] = ld.Weight(grid.Mask(uint8(pm >> (8 * uint(d)))))
-				sum += ws[d]
-			}
-		}
-	} else {
-		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
-			if pm.NeighborMask()>>d&1 == 0 {
-				ws[d] = c.wTab[uint8(pm>>(8*uint(d)))]
-				sum += ws[d]
-			}
-		}
-	}
+	// Direction ∝ slot weight, recomputed from the cached masks through the
+	// same fold that priced wj[i], so their sum is wj[i] by construction.
+	pm := c.pm[i]
+	ws, sum := foldPacked(pm, c.weights(l))
 	v := c.rng.Float64() * sum
 	d := lattice.Dir(lattice.NumDirs - 1)
 	for dd := lattice.Dir(0); dd < lattice.NumDirs; dd++ {
@@ -645,17 +695,25 @@ func (c *Chain) fireTranslation(i int) {
 	}
 
 	// Re-classify the dirty neighborhood: every occupied cell whose masks
-	// can see ℓ or ℓ′, including the moved particle itself. DirtyWindows
-	// hands back each cell with its 5×5 window already extracted.
-	c.dirtyBuf = c.g.DirtyWindows(l, d, c.dirtyBuf[:0])
-	for _, cw := range c.dirtyBuf {
-		j := c.idx.at(cw.P)
-		var w float64
-		if c.biased {
-			w = c.weightFromWindowLd(cw.Win, c.lcache.At(c.epoch, cw.P))
-		} else {
-			w = c.weightFromWindow(cw.Win)
+	// can see ℓ or ℓ′, in DirtyOffsets order (which fixes the order of the
+	// Fenwick updates). A bystander saw ℓ vacate and ℓ′ fill, so its cached
+	// masks change by the fixed XOR xorDelta; when that XOR misses every
+	// byte the fold reads, the weight is unchanged bit for bit and the fold
+	// is skipped. The moved particle's window center moved with it, so its
+	// masks are extracted afresh.
+	offs := grid.DirtyOffsets(d)
+	xd := &xorDelta[d]
+	base, slots := c.idx.slot(l), c.idx.dirty[d]
+	for occ := c.g.DirtyOccupancy(l, d); occ != 0; occ &= occ - 1 {
+		k := bits.TrailingZeros32(occ)
+		j := c.idx.id[base+slots[k]]
+		old := c.pm[j]
+		if k == selfK[d] {
+			c.pm[j] = c.g.Window(lp).Packed()
+		} else if c.pm[j] = old ^ xd[k]; xd[k]&foldBytes[old.NeighborMask()] == 0 {
+			continue
 		}
+		w := c.weightPacked(c.pm[j], l.Add(offs[k]))
 		if w != c.wj[j] {
 			c.fen.add(int(j), w-c.wj[j])
 			c.wj[j] = w
@@ -768,7 +826,11 @@ func (c *Chain) advanceEpoch() {
 	c.epoch = c.steps - c.steps%e
 	c.epochEnd = c.epoch + e
 	for i, p := range c.points {
-		c.wj[i] = c.particleWeight(p)
+		if c.stateless {
+			c.wj[i] = c.weightPacked(c.pm[i], p)
+		} else {
+			c.wj[i] = c.particleWeightPay(p)
+		}
 	}
 	c.fen.rebuild(c.wj)
 	c.hold = 0
@@ -797,15 +859,21 @@ func (c *Chain) run(n uint64) uint64 {
 	return fired
 }
 
-// CheckWeightSums verifies every maintained per-particle weight against a
-// from-scratch recomputation (at the current bias epoch, for biased rules)
-// and the Fenwick total against their exact sum. Maintained weights come
-// from the same canonical folds the recomputation uses, so they must match
-// bit-for-bit; the tree total is allowed bounded floating-point drift. It
-// is a test/debug hook with O(n) cost.
+// CheckWeightSums verifies every cached per-particle packed mask (stateless
+// rules) against a fresh window extraction, every maintained per-particle
+// weight against a from-scratch recomputation (at the current bias epoch,
+// for biased rules), and the Fenwick total against their exact sum.
+// Maintained weights come from the same canonical folds the recomputation
+// uses, so they must match bit-for-bit; the tree total is allowed bounded
+// floating-point drift. It is a test/debug hook with O(n) cost.
 func (c *Chain) CheckWeightSums() error {
 	var sum float64
 	for i, p := range c.points {
+		if c.stateless {
+			if fresh := c.g.Window(p).Packed(); c.pm[i] != fresh {
+				return fmt.Errorf("kmc: particle %d at %v: cached masks %016x, window gives %016x", i, p, uint64(c.pm[i]), uint64(fresh))
+			}
+		}
 		w := c.particleWeight(p)
 		if w != c.wj[i] {
 			return fmt.Errorf("kmc: particle %d at %v: maintained weight %v, recomputed %v", i, p, c.wj[i], w)
@@ -847,6 +915,9 @@ func (c *Chain) RunUntil(max, interval uint64, check func() bool) uint64 {
 type pindex struct {
 	minX, minY, w, h int
 	id               []int32
+	// dirty[d][k] is the id-slot delta from ℓ to ℓ + grid.DirtyOffsets(d)[k];
+	// it depends only on the width, so reshape rebuilds it.
+	dirty [lattice.NumDirs][]int
 }
 
 const pindexSlack = 8
@@ -877,6 +948,13 @@ func (x *pindex) reshape(pts []lattice.Point) {
 	}
 	x.minX, x.minY = min.X-pindexSlack, min.Y-pindexSlack
 	x.w, x.h = max.X-x.minX+pindexSlack+1, max.Y-x.minY+pindexSlack+1
+	for d := range x.dirty {
+		offs := grid.DirtyOffsets(lattice.Dir(d))
+		x.dirty[d] = resize(x.dirty[d], len(offs))
+		for k, off := range offs {
+			x.dirty[d][k] = off.Y*x.w + off.X
+		}
+	}
 	if need := x.w * x.h; cap(x.id) >= need {
 		x.id = x.id[:need]
 	} else {
@@ -897,7 +975,12 @@ func (x *pindex) contains(p lattice.Point) bool {
 
 // at returns the particle index at p, which must be an indexed cell.
 func (x *pindex) at(p lattice.Point) int32 {
-	return x.id[(p.Y-x.minY)*x.w+(p.X-x.minX)]
+	return x.id[x.slot(p)]
+}
+
+// slot returns the id slot of p, which must lie inside the window.
+func (x *pindex) slot(p lattice.Point) int {
+	return (p.Y-x.minY)*x.w + (p.X - x.minX)
 }
 
 // clear removes the index entry at p (p must be inside the window).

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math/bits"
+	"strings"
 	"testing"
 
 	"sops/internal/config"
@@ -92,4 +94,32 @@ func TestPinnedTrajectories(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCheckWeightSumsRejectsCorruptCache is the negative control for the
+// cached-mask check: one flipped bit in a pair-mask byte the weight fold
+// never reads (the byte of an occupied direction) leaves every weight
+// intact, so only the comparison against a fresh window can catch it.
+func TestCheckWeightSumsRejectsCorruptCache(t *testing.T) {
+	c := MustNew(config.Spiral(40), 2, 3)
+	c.Run(20_000)
+	if err := c.CheckWeightSums(); err != nil {
+		t.Fatal(err)
+	}
+	for i, pm := range c.pm {
+		nb := pm.NeighborMask()
+		if nb == 0 {
+			continue
+		}
+		d := bits.TrailingZeros8(nb)
+		c.pm[i] ^= 1 << (8 * d)
+		if got := c.weightPacked(c.pm[i], c.points[i]); got != c.wj[i] {
+			t.Fatalf("corruption reached the fold: weight %v, maintained %v", got, c.wj[i])
+		}
+		if err := c.CheckWeightSums(); err == nil || !strings.Contains(err.Error(), "cached masks") {
+			t.Fatalf("corrupted cache of particle %d accepted: %v", i, err)
+		}
+		return
+	}
+	t.Fatal("no particle with an occupied neighbor")
 }

@@ -64,6 +64,11 @@ func (l *Ladder) Accept(m grid.Mask) float64 { return l.acc[m] }
 // Weight is Rule.Weight at the ladder's λ.
 func (l *Ladder) Weight(m grid.Mask) float64 { return l.w[m] }
 
+// WeightTable returns the ladder's stateless slot-weight table, indexed by
+// pair mask (Rule.WeightTable at the ladder's λ). Callers must not modify
+// it.
+func (l *Ladder) WeightTable() *[256]float64 { return &l.w }
+
 // AcceptPay is Rule.AcceptPay at the ladder's λ.
 func (l *Ladder) AcceptPay(m, same grid.Mask) float64 {
 	if !l.r.valid[m] {

@@ -98,7 +98,7 @@ func (a *Arena) Compress(opts Options) (*Result, error) {
 	if opts.SnapshotEvery == 0 && opts.Interrupt == nil {
 		// The hot sweep path: no per-interval bookkeeping, no closures.
 		c.Run(total)
-	} else if err := runWithSnapshots(total, opts, func(k uint64) {
+	} else if err := runWithSnapshots(total, 1, opts, func(k uint64) {
 		c.Run(k)
 	}, func(done uint64) Snapshot {
 		s := Snapshot{

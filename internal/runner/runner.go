@@ -9,6 +9,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"sops/internal/amoebot"
@@ -293,10 +294,15 @@ type Options struct {
 	// `sops serve`. The Delta's slices and grid are valid only during the
 	// callback. Called after SnapshotFunc.
 	DeltaFunc func(Snapshot, Delta) `json:"-"`
-	// Interrupt, when non-nil, is polled at every snapshot boundary (and
-	// once before an unsnapshotted run): returning true stops the run and
-	// Compress returns ErrInterrupted. With SnapshotEvery zero the poll
-	// granularity is the whole run.
+	// Interrupt, when non-nil, is polled at every snapshot boundary and
+	// before every stretch of at most 2^20 iterations, whatever
+	// SnapshotEvery is: returning true stops the run and Compress returns
+	// ErrInterrupted. Cancel latency is therefore bounded by 2^20
+	// iterations. The stretches split the run only where the engine's
+	// trajectory cannot tell, so polling never changes a result; the one
+	// exception is the stripe-sharded kMC engine (Shards > 1), whose
+	// super-rounds would notice, and which polls at snapshot boundaries
+	// only.
 	Interrupt func() bool `json:"-"`
 }
 
@@ -488,7 +494,11 @@ func compressSequential(engine string, opts Options, ru *rule.Rule, start *confi
 	if log := snap.attach(c.Grid, true, ru); log != nil {
 		c.SetMoveLog(log)
 	}
-	if err := runWithSnapshots(total, opts, func(k uint64) {
+	unit := uint64(1)
+	if opts.Shards > 1 {
+		unit = 0
+	}
+	if err := runWithSnapshots(total, unit, opts, func(k uint64) {
 		c.Run(k)
 	}, func(done uint64) Snapshot {
 		return snap.take(Snapshot{
@@ -535,7 +545,9 @@ func compressDistributed(opts Options, ru *rule.Rule, start *config.Config) (*Re
 		}
 	}
 	var runChunk func(uint64)
+	unit := uint64(1)
 	if opts.Workers > 1 {
+		unit = uint64(opts.Workers)
 		workers := opts.Workers
 		chunk := uint64(0)
 		runChunk = func(k uint64) {
@@ -555,7 +567,7 @@ func compressDistributed(opts Options, ru *rule.Rule, start *config.Config) (*Re
 	if log := snap.attach(w.Tails, opts.Workers <= 1, ru); log != nil {
 		w.SetMoveLog(log)
 	}
-	if err := runWithSnapshots(total, opts, runChunk, func(done uint64) Snapshot {
+	if err := runWithSnapshots(total, unit, opts, runChunk, func(done uint64) Snapshot {
 		cfg := w.Config()
 		p := cfg.Perimeter()
 		return snap.take(Snapshot{
@@ -665,32 +677,44 @@ func snapBias(ru *rule.Rule, done uint64) float64 {
 	return ru.BiasAt(done, ru.BiasProbe())
 }
 
-// runWithSnapshots splits total work into snapshot intervals, polling
-// Options.Interrupt at every boundary.
-func runWithSnapshots(total uint64, opts Options, run func(uint64), snap func(uint64) Snapshot, res *Result) error {
-	interrupted := func() bool { return opts.Interrupt != nil && opts.Interrupt() }
+// interruptEvery bounds the iterations a run executes between polls of
+// Options.Interrupt.
+const interruptEvery = 1 << 20
+
+// runWithSnapshots runs total iterations through run, taking a snapshot at
+// every multiple of Options.SnapshotEvery (and at the end) when that is
+// below total. It polls Options.Interrupt before every call to run, and
+// calls run with at most interruptEvery iterations rounded down to a
+// multiple of unit (but at least unit). unit is the engine's split
+// granularity: run(a+b) and run(a); run(b) leave the same trajectory when a
+// is a multiple of unit, so the extra polls never change a result. unit 0
+// marks an engine that cannot be split between snapshot boundaries.
+func runWithSnapshots(total, unit uint64, opts Options, run func(uint64), snap func(uint64) Snapshot, res *Result) error {
 	every := opts.SnapshotEvery
-	if every == 0 || every >= total {
-		if interrupted() {
-			return ErrInterrupted
-		}
-		run(total)
-		return nil
+	snapshots := every != 0 && every < total
+	chunk := uint64(math.MaxUint64)
+	if unit > 0 {
+		chunk = max(unit, interruptEvery-interruptEvery%unit)
 	}
 	var done uint64
-	for done < total {
-		if interrupted() {
+	for {
+		if opts.Interrupt != nil && opts.Interrupt() {
 			return ErrInterrupted
 		}
-		k := every
-		if done+k > total {
-			k = total - done
+		end := total
+		if snapshots {
+			end = min(total, (done/every+1)*every)
 		}
+		k := min(end-done, chunk)
 		run(k)
 		done += k
-		res.Snapshots = append(res.Snapshots, snap(done))
+		if snapshots && done == end {
+			res.Snapshots = append(res.Snapshots, snap(done))
+		}
+		if done >= total {
+			return nil
+		}
 	}
-	return nil
 }
 
 func finishResult(res *Result, cfg *config.Config) {

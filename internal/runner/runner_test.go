@@ -168,3 +168,46 @@ func TestOptionsNormalized(t *testing.T) {
 		}
 	}
 }
+
+// TestInterruptPollIsTrajectoryNeutral: polling Interrupt splits an
+// unsnapshotted run into 2^20-iteration stretches; the result must equal
+// the unpolled run's, configuration included. The split points are
+// engine-level (chain steps, kMC holds carried across Run calls — including
+// across bias epochs — and amoebot activations), so one rule per engine
+// path suffices beyond the cheap chain.
+func TestInterruptPollIsTrajectoryNeutral(t *testing.T) {
+	cases := []struct{ engine, rule string }{
+		{runner.EngineChain, runner.RuleCompression},
+		{runner.EngineChain, runner.RuleAlignment},
+		{runner.EngineChain, runner.RuleForage},
+		{runner.EngineKMC, runner.RuleCompression},
+		{runner.EngineKMC, runner.RuleForage},
+		{runner.EngineAmoebot, runner.RuleCompression},
+	}
+	if testing.Short() {
+		cases = cases[3:4] // kMC: holds carried across the splits
+	}
+	for _, tc := range cases {
+		base := runner.Options{
+			N: 12, Lambda: 4, Iterations: 2<<20 + 12_345, Seed: 5, Engine: tc.engine, Rule: tc.rule,
+		}
+		plain, err := runner.Compress(base)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.engine, tc.rule, err)
+		}
+		polls := 0
+		polled := base
+		polled.Interrupt = func() bool { polls++; return false }
+		got, err := runner.Compress(polled)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.engine, tc.rule, err)
+		}
+		if polls != 3 {
+			t.Fatalf("%s/%s: %d polls over %d iterations, want 3", tc.engine, tc.rule, polls, base.Iterations)
+		}
+		if fmt.Sprint(got.Points) != fmt.Sprint(plain.Points) || got.Moves != plain.Moves ||
+			got.Energy != plain.Energy || got.Iterations != plain.Iterations {
+			t.Fatalf("%s/%s: polling changed the run: %+v vs %+v", tc.engine, tc.rule, got, plain)
+		}
+	}
+}

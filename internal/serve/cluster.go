@@ -77,12 +77,7 @@ func (m *Manager) considerJob(id string) {
 		return
 	}
 	if terminal(job.State) {
-		h.mu.Lock()
-		if h.remote {
-			h.job = job
-		}
-		h.mu.Unlock()
-		m.settleClient(h)
+		m.adoptRecord(h, job)
 		return
 	}
 	lease := m.jobLeasePath(id)
@@ -511,12 +506,7 @@ func (m *Manager) cancelRemote(h *handle, id string) (Job, error) {
 		return Job{}, fmt.Errorf("serve: unknown job %q", id)
 	}
 	if terminal(job.State) {
-		h.mu.Lock()
-		if h.remote {
-			h.job = job
-		}
-		h.mu.Unlock()
-		m.settleClient(h)
+		m.adoptRecord(h, job)
 		return job, nil
 	}
 	lease := m.jobLeasePath(id)
@@ -526,14 +516,9 @@ func (m *Manager) cancelRemote(h *handle, id string) (Job, error) {
 		job.State = StateCanceled
 		job.FinishedAt = &now
 		if err := m.writeRecord(job); err == nil {
-			h.mu.Lock()
-			if h.remote {
-				h.job = job
-			}
-			h.mu.Unlock()
+			m.adoptRecord(h, job)
 			m.mirrorDone(id, Frame{Type: FrameDone, State: StateCanceled})
 			m.add("jobs_canceled", 1)
-			m.settleClient(h)
 		}
 		releaseLease(lease, m.nodeID)
 		return job, nil

@@ -421,9 +421,7 @@ func (m *Manager) SubmitAs(req JobRequest, client string) (Job, error) {
 func (m *Manager) withdraw(h *handle) {
 	h.mu.Lock()
 	id := h.job.ID
-	client := h.job.Client
-	counted := h.counted && !h.settled
-	h.settled = true
+	m.releaseSlotLocked(h)
 	h.mu.Unlock()
 	m.mu.Lock()
 	delete(m.jobs, id)
@@ -433,30 +431,22 @@ func (m *Manager) withdraw(h *handle) {
 			break
 		}
 	}
-	if counted {
-		m.activeTotal--
-		if m.active[client] > 1 {
-			m.active[client]--
-		} else {
-			delete(m.active, client)
-		}
-	}
 	m.mu.Unlock()
 	_ = os.Remove(m.recordPath(id))
 	h.stream.close()
 }
 
-// settleClient releases the submission quota slot of a terminal job,
-// exactly once.
-func (m *Manager) settleClient(h *handle) {
-	h.mu.Lock()
-	if !terminal(h.job.State) || h.settled || !h.counted {
-		h.mu.Unlock()
+// releaseSlotLocked releases h's submission quota slot, exactly once. The
+// caller holds h.mu and calls it in the same critical section that makes
+// the job terminal (or withdraws it), so no reader can observe a terminal
+// job whose slot is still held. Lock order: h.mu before m.mu; no path holds
+// m.mu while acquiring a handle's mutex.
+func (m *Manager) releaseSlotLocked(h *handle) {
+	if h.settled || !h.counted {
 		return
 	}
 	h.settled = true
 	client := h.job.Client
-	h.mu.Unlock()
 	m.mu.Lock()
 	m.activeTotal--
 	if m.active[client] > 1 {
@@ -465,6 +455,20 @@ func (m *Manager) settleClient(h *handle) {
 		delete(m.active, client)
 	}
 	m.mu.Unlock()
+}
+
+// adoptRecord installs a store record of a job this node does not run and,
+// if the record is terminal, releases the job's quota slot in the same
+// critical section.
+func (m *Manager) adoptRecord(h *handle, job Job) {
+	h.mu.Lock()
+	if h.remote {
+		h.job = job
+	}
+	if terminal(h.job.State) {
+		m.releaseSlotLocked(h)
+	}
+	h.mu.Unlock()
 }
 
 // Job returns the current record of one job. In cluster mode a job running
@@ -481,12 +485,7 @@ func (m *Manager) Job(id string) (Job, bool) {
 		h.mu.Unlock()
 		if fresh {
 			if job, err := m.readRecord(id); err == nil {
-				h.mu.Lock()
-				if h.remote {
-					h.job = job
-				}
-				h.mu.Unlock()
-				m.settleClient(h)
+				m.adoptRecord(h, job)
 				job.Frames = h.stream.len()
 				return job, true
 			}
@@ -552,6 +551,7 @@ func (m *Manager) Cancel(id string) (Job, error) {
 		h.job.State = StateCanceled
 		now := time.Now().UTC()
 		h.job.FinishedAt = &now
+		m.releaseSlotLocked(h)
 		leased := h.leased
 		h.leased = false
 		h.mu.Unlock()
@@ -565,7 +565,6 @@ func (m *Manager) Cancel(id string) (Job, error) {
 		h.stream.publish(Frame{Type: FrameDone, State: StateCanceled})
 		h.stream.close()
 		m.add("jobs_canceled", 1)
-		m.settleClient(h)
 	case StateRunning:
 		h.canceled = true
 		cancel := h.cancel
@@ -907,6 +906,9 @@ func (m *Manager) execute(h *handle) {
 	if terminal(h.job.State) {
 		fin := time.Now().UTC()
 		h.job.FinishedAt = &fin
+		// The slot is free before the terminal record or done frame can
+		// be seen: a client that observed the end may submit again.
+		m.releaseSlotLocked(h)
 	}
 	final := h.job
 	h.mu.Unlock()
@@ -925,7 +927,6 @@ func (m *Manager) execute(h *handle) {
 	}
 	if terminal(final.State) {
 		pub.close()
-		m.settleClient(h)
 		if m.cluster() {
 			releaseLease(m.jobLeasePath(final.ID), m.nodeID)
 			_ = os.Remove(m.cancelMarkPath(final.ID))
