@@ -16,7 +16,8 @@ import (
 // trajectoryHash runs c for chunks×chunk Metropolis-equivalent steps and
 // returns the SHA-256 of everything observable along the way: every applied
 // move (from, to, payload), and after each chunk the step, event and move
-// counters, e(σ), H(σ) and the particle list in index order.
+// counters, e(σ), H(σ) and the particle list in index order — for payload
+// rules also the rotation counter and every particle's payload.
 func trajectoryHash(c *Chain, chunks int, chunk uint64) string {
 	var log frame.MoveLog
 	c.SetMoveLog(&log)
@@ -43,16 +44,24 @@ func trajectoryHash(c *Chain, chunks int, chunk uint64) string {
 			put(int64(p.X))
 			put(int64(p.Y))
 		}
+		if !c.stateless {
+			put(int64(c.Rotations()))
+			for i := range c.points {
+				put(int64(c.Payload(i)))
+			}
+		}
 		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestPinnedTrajectories pins the exact trajectories of the stateless kMC
-// path — a compressing line (λ=4), an expanding spiral (λ=2) and a foraging
-// schedule crossing many bias epochs and its λ switch — over three seeds
-// each. Any change to the event loop's weights, fold order or randomness
-// consumption changes these hashes; a pure speed-up of the reprice must not.
+// TestPinnedTrajectories pins the exact trajectories of the kMC event loop
+// over three seeds each: on the stateless path a compressing line (λ=4), an
+// expanding spiral (λ=2) and a foraging schedule crossing many bias epochs
+// and its λ switch; on the payload path the alignment rule compressing from
+// a line, expanding from a spiral, and at few orientation states. Any change
+// to the event loop's weights, fold order or randomness consumption changes
+// these hashes; a pure speed-up of the reprice must not.
 func TestPinnedTrajectories(t *testing.T) {
 	forage := rule.MustForage(4, rule.ForageOptions{
 		LambdaLow: 0.8,
@@ -80,6 +89,26 @@ func TestPinnedTrajectories(t *testing.T) {
 			"179c9f4ac9287785612fce85f5aacd771910049f1407ae06af279efc81b3fac2",
 			"b9e145233469ef48eebd4cf563cf4d80e1748510cf8d9750e817b458665e36e2",
 			"dd6bcd4d7e17369cc7b382c61f5d2910d444245b334bdcaa9811d43b14e76279",
+		}},
+		{"align-line-λ4-k6", config.Line(40), rule.MustAlignment(4, 6), [3]string{
+			"6d626751bf6e9ebf1818490740067b411c8da55067113f1bd711d278ada19354",
+			"20da4fb4cdb272e0460597e385b9cee3cbe8c34095673af7727693a38c59d181",
+			"1d3a20ef6cfebd68b46a69318c9ab9f49c1a3552e68501a0db045d60cfa4b730",
+		}},
+		{"align-spiral-λ2-k6", config.Spiral(40), rule.MustAlignment(2, 6), [3]string{
+			"df1dea9b57c3063dbf62ec913b0a524d4940f127ca5c670b688e6d943e8c31bf",
+			"20eee9ba7f920dc003c3583b572f4e6e6ecb35978aefcdc80c904a326f6b0a07",
+			"e9b44e94c5f6773422ecc796d6126351c1a12f590bde258e1b6bd648a869cfa0",
+		}},
+		{"align-spiral-λ0.5-k3", config.Spiral(40), rule.MustAlignment(0.5, 3), [3]string{
+			"bfdd9f4816258d56074224e093bcb91e0f93166f3b6ace56488f3ee4667a773e",
+			"2115bfa55afdbbe1de849e5638c7f2361323a9c89b5298ecce044c2ff90296f7",
+			"e0fa5000e1b34d48e027d0ce7f9d92347019f3581f5937f7f3e6f481c9a4ff4b",
+		}},
+		{"align-line-λ4-k2", config.Line(40), rule.MustAlignment(4, 2), [3]string{
+			"1f799d65786a77ca6e6dd4c90a1dd7659f08a3048274cdd155bfff0327d3561e",
+			"de301aceeebd092baca296a7e50303521ea8ec322444182b49de76aacc9c859f",
+			"5d4d89aef6ab0b473d873be2cbb84008d93ac0a775be729b420626698ead5eac",
 		}},
 	}
 	for _, tc := range cases {
