@@ -12,7 +12,8 @@ import (
 // map-backed oracle, checking after every step the invariants the engines
 // lean on: occupancy, incremental edge count, payload carriage, the
 // occupied-cell margin (every mask/degree read stays in-window), and the
-// PairMask/Window/Packed extractors against their reference definitions.
+// PairMask/Window/Packed extractors and the same-state readers (SameWindow,
+// NeighborStates) against their reference definitions.
 //
 // Ops decode in 4-byte chunks (op, x, y, aux); coordinates live in
 // [-16, 16] so sequences cross the initial window and force grows, and op 6
@@ -224,6 +225,14 @@ func checkFull(t *testing.T, g *Grid, occ map[lattice.Point]bool, pay map[lattic
 		}
 		if got := win.NeighborMask(); got != nbr {
 			t.Fatalf("NeighborMask(%v) = %06b, reference %06b", p, got, nbr)
+		}
+		if payloadOn {
+			// The same-state readers, for the cell's own state and one
+			// other.
+			has := func(q lattice.Point) bool { return occ[q] }
+			payload := func(q lattice.Point) uint8 { return pay[q] }
+			checkSameReaders(t, g, p, pay[p], has, payload)
+			checkSameReaders(t, g, p, pay[p]+1, has, payload)
 		}
 	}
 }

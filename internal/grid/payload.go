@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"math/bits"
+
 	"sops/internal/lattice"
 )
 
@@ -81,22 +83,60 @@ func (g *Grid) PairSame(l lattice.Point, d lattice.Dir, m Mask, s uint8) Mask {
 	return same
 }
 
-// cellDirtyOffsets lists every cell within lattice distance 2 of a center
-// cell, the center included. After a payload change at l (occupancy
-// untouched) these offsets cover every cell whose move weights can depend on
-// l's payload: pair masks read cells at distance ≤ 2, payload-rule neighbor
-// terms at distance ≤ 1.
-var cellDirtyOffsets = lattice.Disk(lattice.Point{}, 2)
-
-// OccupiedNearCell appends to buf every occupied cell at lattice distance
-// ≤ 2 from l, including l itself when occupied: the dirty neighborhood of a
-// payload change (rotation) at l. Callers typically pass buf[:0] of a
-// reusable slice to avoid allocation.
-func (g *Grid) OccupiedNearCell(l lattice.Point, buf []lattice.Point) []lattice.Point {
-	for _, off := range cellDirtyOffsets {
-		if q := l.Add(off); g.Has(q) {
-			buf = append(buf, q)
+// SameWindow returns the 5×5 occupancy Window centered on l restricted to
+// the cells whose payload is s: bit (dy+2)·5 + (dx+2) is set iff l + (dx, dy)
+// is occupied and holds state s. Its Packed form carries, byte for byte, what
+// the per-direction payload queries return for a particle of state s at l —
+// byte d is PairSame(l, d, PairMask(l, d), s) and the neighbor byte is
+// SameNeighborMask(l, s) — and, like the occupancy window, it is XOR-linear
+// in the cells it reads (FlipPacked). l must be occupied (margin invariant).
+func (g *Grid) SameWindow(l lattice.Point, s uint8) Window {
+	sb := g.stride << 6
+	base := g.bitIndex(l) - 2*sb - 2
+	win := g.Window(l)
+	var same Window
+	for r := 0; r < 5; r++ {
+		for row := uint32(win>>(5*r)) & 31; row != 0; row &= row - 1 {
+			c := bits.TrailingZeros32(row)
+			if g.pay[base+r*sb+c] == s {
+				same |= 1 << (5*r + c)
+			}
 		}
 	}
-	return buf
+	return same
+}
+
+// NeighborStates is the payload of a cell's six neighbors read in one pass:
+// the occupancy of neighbor u(d) in bit d of occ, its payload (0 when
+// unoccupied) in byte d of st. Same answers SameNeighborMask for any state
+// from it without further grid reads.
+type NeighborStates struct {
+	occ uint8
+	st  uint64
+}
+
+// NeighborStates reads the occupancy and payload of l's six neighbors. l
+// must be occupied: the margin invariant keeps the neighbors in the window.
+func (g *Grid) NeighborStates(l lattice.Point) NeighborStates {
+	idx := g.bitIndex(l)
+	var ns NeighborStates
+	for d, delta := range g.nbrDelta {
+		j := idx + delta
+		ns.occ |= uint8(g.bit(j)) << d
+		ns.st |= uint64(g.pay[j]) << (8 * d)
+	}
+	return ns
+}
+
+// Same returns the occupied neighbors whose payload is t, bit d = u(d): the
+// value SameNeighborMask(l, t) had when ns was read. It compares all six
+// bytes at once: the high bit of each byte of z is set iff that byte of x
+// is zero (the exact zero-byte test, with no borrow between bytes), and the
+// multiply gathers bit 8d to bit 56+d.
+func (ns NeighborStates) Same(t uint8) uint8 {
+	const lo = 0x0000_0101_0101_0101 // bit 0 of bytes 0–5
+	const low7 = 0x7f7f_7f7f_7f7f_7f7f
+	x := ns.st ^ uint64(t)*lo
+	z := ^((x&low7 + low7) | x | low7)
+	return uint8((z>>7&lo)*0x0102_0408_1020_4080>>56) & ns.occ
 }

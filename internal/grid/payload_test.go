@@ -161,3 +161,85 @@ func TestPairSameAndSameNeighborMask(t *testing.T) {
 		}
 	}
 }
+
+// checkSameReaders compares SameWindow and NeighborStates at the occupied
+// cell l against their reference definitions for state s: has and payload
+// are the oracle's view of the configuration.
+func checkSameReaders(t *testing.T, g *Grid, l lattice.Point, s uint8, has func(lattice.Point) bool, payload func(lattice.Point) uint8) {
+	t.Helper()
+	same := func(q lattice.Point) bool { return has(q) && payload(q) == s }
+	packed := g.SameWindow(l, s).Packed()
+	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+		var want Mask
+		for k, off := range MaskOffsets(d) {
+			if same(l.Add(off)) {
+				want |= 1 << uint(k)
+			}
+		}
+		if got := packed.PairMask(d); got != want {
+			t.Fatalf("SameWindow(%v, %d) byte %v = %08b, reference PairSame %08b", l, s, d, got, want)
+		}
+	}
+	var wantN uint8
+	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+		if same(l.Neighbor(d)) {
+			wantN |= 1 << uint(d)
+		}
+	}
+	if got := packed.NeighborMask(); got != wantN {
+		t.Fatalf("SameWindow(%v, %d) neighbor byte = %06b, reference %06b", l, s, got, wantN)
+	}
+	if got := g.NeighborStates(l).Same(s); got != wantN {
+		t.Fatalf("NeighborStates(%v).Same(%d) = %06b, reference %06b", l, s, got, wantN)
+	}
+}
+
+// TestSameWindowAndNeighborStates checks the cached-fold readers against
+// PairSame, SameNeighborMask and a brute-force oracle on random payloaded
+// configurations, for every state including ones no cell holds. Random
+// moves after construction push cells up to the 2-cell margin, so the
+// window reads are exercised next to the border too.
+func TestSameWindowAndNeighborStates(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 2))
+	const states = 5
+	atMargin := 0
+	for trial := 0; trial < 150; trial++ {
+		var pts []lattice.Point
+		p := lattice.Point{}
+		for i := 0; i < 25; i++ {
+			pts = append(pts, p)
+			p = p.Neighbor(lattice.Dir(rng.IntN(lattice.NumDirs)))
+		}
+		g := New(pts, minSlack)
+		g.EnablePayload()
+		g.Each(func(q lattice.Point) { g.SetPayload(q, uint8(rng.IntN(states-1))) })
+		for step := 0; step < 12; step++ {
+			cur := g.Points()
+			src := cur[rng.IntN(len(cur))]
+			if dst := src.Neighbor(lattice.Dir(rng.IntN(lattice.NumDirs))); !g.Has(dst) {
+				g.Move(src, dst)
+			}
+		}
+		for _, l := range g.Points() {
+			cx, cy := l.X-g.minX, l.Y-g.minY
+			if cx == margin || cy == margin || cx == g.w-1-margin || cy == g.h-1-margin {
+				atMargin++
+			}
+			for s := uint8(0); s < states; s++ {
+				checkSameReaders(t, g, l, s, g.Has, g.Payload)
+				packed := g.SameWindow(l, s).Packed()
+				if got, want := packed.NeighborMask(), g.SameNeighborMask(l, s); got != want {
+					t.Fatalf("trial %d cell %v state %d: SameWindow neighbor byte %06b, SameNeighborMask %06b", trial, l, s, got, want)
+				}
+				for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+					if got, want := packed.PairMask(d), g.PairSame(l, d, g.PairMask(l, d), s); got != want {
+						t.Fatalf("trial %d cell %v dir %v state %d: SameWindow byte %08b, PairSame %08b", trial, l, d, s, got, want)
+					}
+				}
+			}
+		}
+	}
+	if atMargin == 0 {
+		t.Fatal("no cell reached the window margin; the border case went untested")
+	}
+}

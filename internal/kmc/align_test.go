@@ -67,22 +67,21 @@ func (v spinView) alignedEdges() int {
 	return total
 }
 
-// setSpins overwrites the engine's payload state and rebuilds its weights,
-// so a test can drive the engine onto an exact (configuration, spins) state.
+// setSpins overwrites the engine's payload state and rebuilds its cached
+// masks and weights, so a test can drive the engine onto an exact
+// (configuration, spins) state.
 func setSpins(c *Chain, spins map[lattice.Point]uint8) {
 	for p, s := range spins {
 		c.g.SetPayload(p, s)
 	}
-	for i, p := range c.points {
-		c.wj[i] = c.particleWeight(p)
-	}
-	c.fen.rebuild(c.wj)
+	c.priceAll()
 	c.hval = c.ru.Energy(c.g)
 }
 
 // checkAgainstBrute compares every maintained per-slot, per-particle, and
-// total weight of the engine against the brute-force oracle on the same
-// state.
+// total weight of the engine — the slots priced from its cached masks —
+// against the brute-force oracle on the same state, then the cached masks
+// themselves against fresh windows.
 func checkAgainstBrute(t *testing.T, c *Chain, v spinView, lambda float64, states int, label string) {
 	t.Helper()
 	var wantTotal float64
@@ -120,6 +119,9 @@ func checkAgainstBrute(t *testing.T, c *Chain, v spinView, lambda float64, state
 	}
 	if got, want := c.Energy(), v.alignedEdges(); got != want {
 		t.Fatalf("%s: maintained H %d, brute force %d", label, got, want)
+	}
+	if err := c.CheckWeightSums(); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 

@@ -28,6 +28,24 @@ func BenchmarkKMCEvent(b *testing.B) {
 	}
 }
 
+// BenchmarkKMCEventAlign is BenchmarkKMCEvent on the payload path: the
+// alignment rule (k=6 orientations, λ=4) on a settled 100-particle cluster,
+// where most events are rotations and every event reprices through the
+// payload fold. ns/event divides out the events that actually fired.
+func BenchmarkKMCEventAlign(b *testing.B) {
+	c := MustNewWithRule(config.Spiral(100), rule.MustAlignment(4, 6), 1)
+	c.Run(1_000_000) // settle into the stationary regime
+	b.ResetTimer()
+	ev0 := c.Events()
+	for i := 0; i < b.N; i++ {
+		c.Run(10_000)
+	}
+	if events := c.Events() - ev0; events > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	}
+}
+
 // BenchmarkKMCSharded measures event throughput of the stripe-sharded
 // engine against the sequential chain (the shards=1 sub-benchmark) at two
 // system sizes. λ=2 keeps the run event-dominated: expansion accepts most

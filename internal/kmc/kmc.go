@@ -32,10 +32,14 @@
 // XOR-linear, each bystander's cached word changes by a fixed per-direction,
 // per-offset XOR, and its weight is refolded only when that XOR reaches a
 // byte the fold reads. Only the moved particle re-extracts a window. Payload
-// rules re-price the dirty neighborhood through the payload tables instead;
-// a payload rotation dirties only the rotating cell's own radius-2
-// neighborhood (grid.OccupiedNearCell). An event therefore costs O(log n)
-// for the weighted sampling plus O(1) reweighting. Per-slot weights come
+// rules cache a second word per particle, the same classification restricted
+// to the cells holding the particle's own state (grid.SameWindow); it is
+// XOR-linear too, so a translation updates it by the same delta for the
+// bystanders sharing the mover's state, and a rotation s → t at ℓ flips ℓ in
+// the words of the radius-2 bystanders in state s or t. Payload weights fold
+// from the two words plus one pass over the neighbor states for rotations. An
+// event therefore costs O(log n) for the weighted sampling plus O(1)
+// reweighting. Per-slot weights come
 // from the same compiled rule tables the Metropolis engine uses: the two
 // engines cannot disagree on the move set by construction, and
 // rule.Compression(λ) reproduces the pre-rule engine bit for bit.
@@ -67,6 +71,24 @@ const rngStream = 0x9e3779b97f4a7c15
 // vacate and ℓ′ fill, and packing is XOR-linear (grid.FlipPacked). selfK[d]
 // is the k of ℓ′ itself, whose masks are re-extracted instead.
 var xorDelta, selfK = buildXorDelta()
+
+// diskOffsets is the radius-2 disk around a rotating cell ℓ — ℓ itself
+// (k = 0), its six neighbors (k = 1..6), then the twelve cells at distance 2
+// — the cells whose weights can read ℓ's payload. diskFlip[k] is the change
+// ℓ's payload flip makes to the same-state masks of the cell at
+// ℓ + diskOffsets[k] when that cell's state is the old or the new one;
+// diskWin[k] is the offset's bit in ℓ's grid.Window.
+var diskOffsets = lattice.Disk(lattice.Point{}, 2)
+
+const diskCells = 19
+
+var diskFlip, diskWin = func() (flip, win [diskCells]grid.PackedMasks) {
+	for k, off := range diskOffsets {
+		flip[k] = grid.FlipPacked(lattice.Point{}.Sub(off))
+		win[k] = 1 << ((off.Y+2)*5 + off.X + 2)
+	}
+	return flip, win
+}()
 
 func buildXorDelta() (xd [lattice.NumDirs][32]grid.PackedMasks, self [lattice.NumDirs]int) {
 	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
@@ -138,8 +160,13 @@ type Chain struct {
 	// to floating-point drift.
 	wj []float64
 	// pm[i] is particle i's cached move classification, always equal to
-	// Window(points[i]).Packed() (stateless rules only; empty otherwise).
+	// Window(points[i]).Packed(). ps[i] (payload rules only; empty
+	// otherwise) is the same classification restricted to the cells in i's
+	// own state s, SameWindow(points[i], s).Packed(): byte d is the
+	// same-state submask of the pair mask toward d, the neighbor byte the
+	// same-state neighbors.
 	pm []grid.PackedMasks
+	ps []grid.PackedMasks
 
 	// Bias-epoch machinery (biased rules only). The effective λ is constant
 	// on [epoch, epochEnd); every maintained weight is priced at
@@ -165,10 +192,9 @@ type Chain struct {
 	hold               uint64
 	holesGone          bool
 	eventsSinceRebuild int
-	dirtyPts           []lattice.Point
 	// slotBuf holds the fired particle's slot weights during event
-	// sampling; payBuf is particleWeightPay's scratch, kept separate so
-	// the dirty-reprice loop cannot clobber the sampler's view.
+	// sampling; payBuf is the reprice loops' scratch, kept separate so they
+	// cannot clobber the sampler's view.
 	slotBuf []float64
 	payBuf  []float64
 
@@ -325,22 +351,24 @@ func resize[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// priceAll fills every particle's weight — and, for stateless rules, its
-// cached masks, pricing the weight from them in the same pass — then builds
-// the Fenwick tree exactly.
+// priceAll fills every particle's cached masks and its weight, priced from
+// them in the same pass, then builds the Fenwick tree exactly.
 func (c *Chain) priceAll() {
 	c.wj = resize(c.wj, len(c.points))
+	c.pm = resize(c.pm, len(c.points))
 	if c.stateless {
-		c.pm = resize(c.pm, len(c.points))
+		c.ps = c.ps[:0]
 		for i, p := range c.points {
 			pm := c.g.Window(p).Packed()
 			c.pm[i] = pm
 			c.wj[i] = c.weightPacked(pm, p)
 		}
 	} else {
-		c.pm = c.pm[:0]
+		c.ps = resize(c.ps, len(c.points))
 		for i, p := range c.points {
-			c.wj[i] = c.particleWeightPay(p)
+			s := c.g.Payload(p)
+			c.pm[i], c.ps[i] = c.g.Window(p).Packed(), c.g.SameWindow(p, s).Packed()
+			c.wj[i] = c.pricePay(c.pm[i], c.ps[i], p, s, c.payBuf, c.ldAt(p))
 		}
 	}
 	c.fen.rebuild(c.wj)
@@ -369,15 +397,17 @@ func MustNewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) *Chain {
 }
 
 // particleWeight recomputes from scratch the total acceptance weight of the
-// particle at p: the sum over its slots of the slot weight. For stateless
-// rules one Window extraction serves all six directions. The summation
-// order is fixed (directions ascending, then rotation targets ascending),
-// so equal configurations always produce bit-identical weights.
+// particle at p — the sum over its slots of the slot weight — from freshly
+// extracted windows, through the same folds the maintained weights use. The
+// summation order is fixed (directions ascending, then rotation targets
+// ascending), so equal configurations always produce bit-identical weights.
 func (c *Chain) particleWeight(p lattice.Point) float64 {
+	pm := c.g.Window(p).Packed()
 	if c.stateless {
-		return c.weightPacked(c.g.Window(p).Packed(), p)
+		return c.weightPacked(pm, p)
 	}
-	return c.particleWeightPay(p)
+	s := c.g.Payload(p)
+	return c.pricePay(pm, c.g.SameWindow(p, s).Packed(), p, s, c.payBuf, c.ldAt(p))
 }
 
 // weightPacked prices a stateless particle at p from its packed masks.
@@ -438,39 +468,41 @@ func foldPacked(pm grid.PackedMasks, tab *[256]float64) (ws [lattice.NumDirs]flo
 	return ws, sum
 }
 
-// priceSlots fills ws (length Slots) with the payload particle's per-slot
-// weights in the canonical order — translation directions ascending, then
-// rotation targets ascending skipping the current state s — and returns
-// their sum. Every payload-path consumer (the maintained wj, the event
-// sampler, the observer APIs) goes through this one fold, so the "slot sum
-// equals wj[i]" invariant the sampler relies on holds bit-for-bit. ld is
-// the bias ladder for the particle's site in the current epoch; nil prices
-// through the rule's fixed-λ tables.
-func (c *Chain) priceSlots(p lattice.Point, s uint8, ws []float64, ld *rule.Ladder) float64 {
+// pricePay fills ws (length Slots) with the per-slot weights of a payload
+// particle at l in state s, in the canonical order — translation directions
+// ascending, then rotation targets ascending skipping s — and returns their
+// sum. Translations price from the packed masks: pm's pair mask and ps's
+// same-state submask toward every empty direction. Rotations compare ps's
+// same-state neighbors with each target's, read in one pass over l's
+// neighbor states. Every payload-path consumer (the maintained wj, the event
+// sampler, the observer APIs, the CheckWeightSums reference) goes through
+// this one fold, so the "slot sum equals wj[i]" invariant the sampler relies
+// on holds bit-for-bit. ld is the bias ladder for the particle's site in the
+// current epoch; nil prices through the rule's fixed-λ tables.
+func (c *Chain) pricePay(pm, ps grid.PackedMasks, l lattice.Point, s uint8, ws []float64, ld *rule.Ladder) float64 {
 	var sum float64
+	nb := pm.NeighborMask()
 	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
 		w := 0.0
-		if !c.g.Has(p.Neighbor(d)) {
-			if m := c.g.PairMask(p, d); c.ru.Allowed(m) {
-				same := c.g.PairSame(p, d, m, s)
-				if ld != nil {
-					w = ld.WeightPay(m, same)
-				} else {
-					w = c.ru.WeightPay(m, same)
-				}
+		if nb>>d&1 == 0 {
+			if ld != nil {
+				w = ld.WeightPay(pm.PairMask(d), ps.PairMask(d))
+			} else {
+				w = c.ru.WeightPay(pm.PairMask(d), ps.PairMask(d))
 			}
 		}
 		ws[d] = w
 		sum += w
 	}
 	if c.ru.Rotates() {
-		sameOld := c.g.SameNeighborMask(p, s)
+		sameOld := ps.NeighborMask()
+		ns := c.g.NeighborStates(l)
 		j := lattice.NumDirs
 		for t := 0; t < c.ru.States(); t++ {
 			if uint8(t) == s {
 				continue
 			}
-			delta := c.ru.RotDelta(sameOld, c.g.SameNeighborMask(p, uint8(t)))
+			delta := c.ru.RotDelta(sameOld, ns.Same(uint8(t)))
 			w := c.ru.RotWeight(delta)
 			if ld != nil {
 				w = ld.RotWeight(delta)
@@ -481,12 +513,6 @@ func (c *Chain) priceSlots(p lattice.Point, s uint8, ws []float64, ld *rule.Ladd
 		}
 	}
 	return sum
-}
-
-// particleWeightPay prices a payload particle's slots through priceSlots
-// into a scratch buffer distinct from the event sampler's.
-func (c *Chain) particleWeightPay(p lattice.Point) float64 {
-	return c.priceSlots(p, c.g.Payload(p), c.payBuf, c.ldAt(p))
 }
 
 // Rule returns the rule the chain runs.
@@ -530,9 +556,8 @@ func (c *Chain) TotalWeight() float64 { return c.fen.total() }
 func (c *Chain) ParticleWeight(i int) float64 { return c.wj[i] }
 
 // SlotWeights returns the six per-direction translation weights of particle
-// i as the event sampler sees them: priced from the cached packed masks for
-// stateless rules, recomputed from the grid for payload rules. Together with
-// RotationWeights their sum equals ParticleWeight(i).
+// i as the event sampler sees them, priced from its cached packed masks.
+// Together with RotationWeights their sum equals ParticleWeight(i).
 func (c *Chain) SlotWeights(i int) [lattice.NumDirs]float64 {
 	p := c.points[i]
 	if c.stateless {
@@ -540,23 +565,27 @@ func (c *Chain) SlotWeights(i int) [lattice.NumDirs]float64 {
 		return ws
 	}
 	var ws [lattice.NumDirs]float64
-	buf := make([]float64, c.slots)
-	c.priceSlots(p, c.g.Payload(p), buf, c.ldAt(p))
-	copy(ws[:], buf[:lattice.NumDirs])
+	copy(ws[:], c.slotWeightsPay(i))
 	return ws
 }
 
-// RotationWeights recomputes the rotation slot weights of particle i, in
-// rotation-slot order (target states ascending, skipping the current
-// state). It returns nil for rules without rotations.
+// RotationWeights returns the rotation slot weights of particle i as the
+// event sampler sees them, in rotation-slot order (target states ascending,
+// skipping the current state). It returns nil for rules without rotations.
 func (c *Chain) RotationWeights(i int) []float64 {
 	if !c.ru.Rotates() {
 		return nil
 	}
+	return c.slotWeightsPay(i)[lattice.NumDirs:]
+}
+
+// slotWeightsPay prices payload particle i's slots from its cached masks
+// into a fresh slice.
+func (c *Chain) slotWeightsPay(i int) []float64 {
 	p := c.points[i]
-	buf := make([]float64, c.slots)
-	c.priceSlots(p, c.g.Payload(p), buf, c.ldAt(p))
-	return buf[lattice.NumDirs:]
+	ws := make([]float64, c.slots)
+	c.pricePay(c.pm[i], c.ps[i], p, c.g.Payload(p), ws, c.ldAt(p))
+	return ws
 }
 
 // Payload returns the payload state of particle i (0 for stateless rules).
@@ -722,16 +751,17 @@ func (c *Chain) fireTranslation(i int) {
 }
 
 // fireSlot is the payload-rule event path: the slot (translation direction
-// or rotation target) is drawn ∝ its weight, applied, and the appropriate
-// dirty neighborhood re-priced through the payload tables.
+// or rotation target) is drawn ∝ its weight from the cached masks, applied,
+// and the dirty neighborhood's cached masks and weights updated.
 func (c *Chain) fireSlot(i int) {
 	l := c.points[i]
 	s := c.g.Payload(l)
+	pm, ps := c.pm[i], c.ps[i]
 
 	// Recompute every slot weight through the canonical fold: their sum is
 	// the authoritative wj[i] by construction.
 	ws := c.slotBuf
-	sum := c.priceSlots(l, s, ws, c.ldAt(l))
+	sum := c.pricePay(pm, ps, l, s, ws, c.ldAt(l))
 
 	v := c.rng.Float64() * sum
 	slot := len(ws) - 1
@@ -753,8 +783,7 @@ func (c *Chain) fireSlot(i int) {
 
 	if slot < lattice.NumDirs {
 		d := lattice.Dir(slot)
-		m := c.g.PairMask(l, d)
-		c.hval += c.ru.MoveDelta(m, c.g.PairSame(l, d, m, s))
+		c.hval += c.ru.MoveDelta(pm.PairMask(d), ps.PairMask(d))
 		lp := l.Neighbor(d)
 		c.g.Move(l, lp)
 		c.points[i] = lp
@@ -763,31 +792,94 @@ func (c *Chain) fireSlot(i int) {
 		c.events++
 		c.moves++
 		if c.mlog != nil {
-			c.mlog.Moved(l, lp, c.g.Payload(lp))
+			c.mlog.Moved(l, lp, s)
 		}
-		c.dirtyPts = c.g.OccupiedNearPair(l, d, c.dirtyPts[:0])
+		c.repriceMovePay(l, d, s)
 	} else {
 		// Rotation: the j-th alternative state in ascending order.
 		t := c.ru.RotTarget(s, slot-lattice.NumDirs)
-		c.hval += c.ru.RotDelta(c.g.SameNeighborMask(l, s), c.g.SameNeighborMask(l, t))
+		c.hval += c.ru.RotDelta(ps.NeighborMask(), c.g.SameNeighborMask(l, t))
 		c.g.SetPayload(l, t)
 		c.events++
 		c.rots++
 		if c.mlog != nil {
 			c.mlog.Rotated(l, t)
 		}
-		// A payload change dirties only the rotating cell's radius-2
-		// neighborhood, itself included.
-		c.dirtyPts = c.g.OccupiedNearCell(l, c.dirtyPts[:0])
+		c.repriceRotation(l, s, t)
 	}
+}
 
-	for _, p := range c.dirtyPts {
-		j := c.idx.at(p)
-		w := c.particleWeightPay(p)
-		if w != c.wj[j] {
-			c.fen.add(int(j), w-c.wj[j])
-			c.wj[j] = w
+// repriceMovePay re-classifies the dirty neighborhood after a payload
+// particle in state s moved ℓ → ℓ′ = ℓ+d, in DirtyOffsets order like
+// fireTranslation. A bystander saw ℓ vacate and ℓ′ fill: its occupancy masks
+// change by xorDelta, and so do its same-state masks when it shares the
+// mover's state. Its neighbor states change only when ℓ or ℓ′ is a
+// neighbor, which the neighbor byte of xorDelta shows, so a delta missing
+// every byte the fold reads leaves the weight bit-identical. The mover
+// re-extracts both words.
+func (c *Chain) repriceMovePay(l lattice.Point, d lattice.Dir, s uint8) {
+	lp := l.Neighbor(d)
+	offs := grid.DirtyOffsets(d)
+	xd := &xorDelta[d]
+	base, slots := c.idx.slot(l), c.idx.dirty[d]
+	for occ := c.g.DirtyOccupancy(l, d); occ != 0; occ &= occ - 1 {
+		k := bits.TrailingZeros32(occ)
+		j := c.idx.id[base+slots[k]]
+		q := l.Add(offs[k])
+		qs := c.g.Payload(q)
+		if k == selfK[d] {
+			c.pm[j], c.ps[j] = c.g.Window(lp).Packed(), c.g.SameWindow(lp, s).Packed()
+		} else {
+			old := c.pm[j]
+			c.pm[j] = old ^ xd[k]
+			if qs == s {
+				c.ps[j] ^= xd[k]
+			}
+			if xd[k]&foldBytes[old.NeighborMask()] == 0 {
+				continue
+			}
 		}
+		c.reprice(j, q, qs)
+	}
+}
+
+// repriceRotation re-classifies the radius-2 disk around ℓ after its payload
+// changed s → t, in disk order. Occupancy is unchanged, so only same-state
+// masks move: ℓ leaves the masks of its bystanders in state s and joins
+// those in state t, and re-extracts its own for t. The six neighbors always
+// reprice (their rotation weights read ℓ's state); a distance-2 bystander
+// reprices only when its masks changed in a byte its fold reads.
+func (c *Chain) repriceRotation(l lattice.Point, s, t uint8) {
+	win := grid.PackedMasks(c.g.Window(l))
+	base, slots := c.idx.slot(l), c.idx.disk
+	for k, off := range diskOffsets {
+		if win&diskWin[k] == 0 {
+			continue
+		}
+		j := c.idx.id[base+slots[k]]
+		q := l.Add(off)
+		qs := c.g.Payload(q)
+		if k == 0 {
+			c.ps[j] = c.g.SameWindow(l, t).Packed()
+		} else if qs == s || qs == t {
+			c.ps[j] ^= diskFlip[k]
+			if k > lattice.NumDirs && diskFlip[k]&foldBytes[c.pm[j].NeighborMask()] == 0 {
+				continue
+			}
+		} else if k > lattice.NumDirs {
+			continue
+		}
+		c.reprice(j, q, qs)
+	}
+}
+
+// reprice refolds payload particle j at q in state qs from its cached masks
+// and pushes a changed weight into the Fenwick tree.
+func (c *Chain) reprice(j int32, q lattice.Point, qs uint8) {
+	w := c.pricePay(c.pm[j], c.ps[j], q, qs, c.payBuf, c.ldAt(q))
+	if w != c.wj[j] {
+		c.fen.add(int(j), w-c.wj[j])
+		c.wj[j] = w
 	}
 }
 
@@ -829,7 +921,7 @@ func (c *Chain) advanceEpoch() {
 		if c.stateless {
 			c.wj[i] = c.weightPacked(c.pm[i], p)
 		} else {
-			c.wj[i] = c.particleWeightPay(p)
+			c.wj[i] = c.pricePay(c.pm[i], c.ps[i], p, c.g.Payload(p), c.payBuf, c.ldAt(p))
 		}
 	}
 	c.fen.rebuild(c.wj)
@@ -859,19 +951,23 @@ func (c *Chain) run(n uint64) uint64 {
 	return fired
 }
 
-// CheckWeightSums verifies every cached per-particle packed mask (stateless
-// rules) against a fresh window extraction, every maintained per-particle
-// weight against a from-scratch recomputation (at the current bias epoch,
-// for biased rules), and the Fenwick total against their exact sum.
+// CheckWeightSums verifies every cached per-particle packed mask — and, for
+// payload rules, every cached same-state mask — against a fresh window
+// extraction, every maintained per-particle weight against a from-scratch
+// recomputation from fresh windows (at the current bias epoch, for biased
+// rules), and the Fenwick total against their exact sum.
 // Maintained weights come from the same canonical folds the recomputation
 // uses, so they must match bit-for-bit; the tree total is allowed bounded
 // floating-point drift. It is a test/debug hook with O(n) cost.
 func (c *Chain) CheckWeightSums() error {
 	var sum float64
 	for i, p := range c.points {
-		if c.stateless {
-			if fresh := c.g.Window(p).Packed(); c.pm[i] != fresh {
-				return fmt.Errorf("kmc: particle %d at %v: cached masks %016x, window gives %016x", i, p, uint64(c.pm[i]), uint64(fresh))
+		if fresh := c.g.Window(p).Packed(); c.pm[i] != fresh {
+			return fmt.Errorf("kmc: particle %d at %v: cached masks %016x, window gives %016x", i, p, uint64(c.pm[i]), uint64(fresh))
+		}
+		if !c.stateless {
+			if fresh := c.g.SameWindow(p, c.g.Payload(p)).Packed(); c.ps[i] != fresh {
+				return fmt.Errorf("kmc: particle %d at %v: cached same-state masks %016x, window gives %016x", i, p, uint64(c.ps[i]), uint64(fresh))
 			}
 		}
 		w := c.particleWeight(p)
@@ -915,9 +1011,11 @@ func (c *Chain) RunUntil(max, interval uint64, check func() bool) uint64 {
 type pindex struct {
 	minX, minY, w, h int
 	id               []int32
-	// dirty[d][k] is the id-slot delta from ℓ to ℓ + grid.DirtyOffsets(d)[k];
-	// it depends only on the width, so reshape rebuilds it.
+	// dirty[d][k] is the id-slot delta from ℓ to ℓ + grid.DirtyOffsets(d)[k],
+	// disk[k] the delta to ℓ + diskOffsets[k]; both depend only on the
+	// width, so reshape rebuilds them.
 	dirty [lattice.NumDirs][]int
+	disk  [diskCells]int
 }
 
 const pindexSlack = 8
@@ -954,6 +1052,9 @@ func (x *pindex) reshape(pts []lattice.Point) {
 		for k, off := range offs {
 			x.dirty[d][k] = off.Y*x.w + off.X
 		}
+	}
+	for k, off := range diskOffsets {
+		x.disk[k] = off.Y*x.w + off.X
 	}
 	if need := x.w * x.h; cap(x.id) >= need {
 		x.id = x.id[:need]

@@ -152,3 +152,32 @@ func TestCheckWeightSumsRejectsCorruptCache(t *testing.T) {
 	}
 	t.Fatal("no particle with an occupied neighbor")
 }
+
+// TestCheckWeightSumsRejectsCorruptSameStateCache is the payload-path
+// negative control: one flipped bit in a same-state byte the fold never
+// reads (the byte of an occupied direction) leaves every weight intact, so
+// only the comparison against a fresh same-state window can catch it.
+func TestCheckWeightSumsRejectsCorruptSameStateCache(t *testing.T) {
+	c := MustNewWithRule(config.Spiral(40), rule.MustAlignment(2, 6), 3)
+	c.Run(20_000)
+	if err := c.CheckWeightSums(); err != nil {
+		t.Fatal(err)
+	}
+	for i, pm := range c.pm {
+		nb := pm.NeighborMask()
+		if nb == 0 {
+			continue
+		}
+		d := bits.TrailingZeros8(nb)
+		c.ps[i] ^= 1 << (8 * d)
+		p := c.points[i]
+		if got := c.pricePay(pm, c.ps[i], p, c.g.Payload(p), c.payBuf, c.ldAt(p)); got != c.wj[i] {
+			t.Fatalf("corruption reached the fold: weight %v, maintained %v", got, c.wj[i])
+		}
+		if err := c.CheckWeightSums(); err == nil || !strings.Contains(err.Error(), "cached same-state masks") {
+			t.Fatalf("corrupted same-state cache of particle %d accepted: %v", i, err)
+		}
+		return
+	}
+	t.Fatal("no particle with an occupied neighbor")
+}
