@@ -18,7 +18,8 @@ type Protocol interface {
 
 // Activation is the window a particle gets into the world during one atomic
 // activation. Every method inspects or affects only the activating
-// particle's ≤10-node neighborhood.
+// particle's ≤10-node neighborhood. The world reuses one Activation for
+// every activation, so a protocol must not retain it past Activate.
 type Activation struct {
 	w   *World
 	p   *Particle

@@ -71,3 +71,38 @@ func TestSeedPayloadDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestActivationAllocatesNothing: a scheduled activation — the event-queue
+// pop and push, the protocol call and the round bookkeeping — allocates
+// nothing, under both schedulers and for stateless and payload rules.
+func TestActivationAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ru     *rule.Rule
+		states int
+	}{
+		{"compression", rule.Compression(4), 0},
+		{"align", rule.MustAlignment(4, 6), 6},
+	} {
+		w, err := NewWorld(config.Line(60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.states > 0 {
+			w.SeedPayload(tc.states, 3)
+		}
+		proto := MustNewMetropolis(tc.ru)
+		poisson := NewPoissonScheduler(w, proto, 1)
+		uniform := NewUniformScheduler(w, proto, 2)
+		poisson.RunActivations(2_000) // past the first expansions and rounds
+		if got := testing.AllocsPerRun(5_000, func() { poisson.StepActivation() }); got != 0 {
+			t.Errorf("%s: Poisson activation allocates %v times", tc.name, got)
+		}
+		if got := testing.AllocsPerRun(5_000, func() { uniform.StepActivation() }); got != 0 {
+			t.Errorf("%s: uniform activation allocates %v times", tc.name, got)
+		}
+		if w.Rounds() == 0 {
+			t.Errorf("%s: no round completed", tc.name)
+		}
+	}
+}

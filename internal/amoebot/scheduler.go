@@ -1,7 +1,6 @@
 package amoebot
 
 import (
-	"container/heap"
 	"math/rand/v2"
 	"sync"
 )
@@ -26,13 +25,64 @@ type event struct {
 	id ParticleID
 }
 
+// eventHeap is a binary min-heap of events by time. It sifts exactly as
+// container/heap does — same comparisons, same swaps — so the queue order,
+// and with it every trajectory, matches the interface-based heap, without
+// boxing an event on every push and pop.
 type eventHeap []event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].t < h[j].t }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+// init establishes the heap invariant (container/heap.Init).
+func (h eventHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+// push adds e (container/heap.Push).
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest event (container/heap.Pop).
+func (h *eventHeap) pop() event {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h eventHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].t < h[i].t) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h eventHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].t < h[j1].t {
+			j = j2 // right child
+		}
+		if !(h[j].t < h[i].t) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 // SchedulerOption customizes a PoissonScheduler.
 type SchedulerOption func(*PoissonScheduler)
@@ -69,7 +119,7 @@ func NewPoissonScheduler(w *World, proto Protocol, seed uint64, opts ...Schedule
 	for _, p := range w.particles {
 		s.queue = append(s.queue, event{t: s.rng.ExpFloat64() / s.rates[p.id], id: p.id})
 	}
-	heap.Init(&s.queue)
+	s.queue.init()
 	return s
 }
 
@@ -79,8 +129,8 @@ func (s *PoissonScheduler) Time() float64 { return s.now }
 // StepActivation activates the next particle due. It reports false when no
 // live particle remains to schedule.
 func (s *PoissonScheduler) StepActivation() bool {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(event)
+	for len(s.queue) > 0 {
+		e := s.queue.pop()
 		s.now = e.t
 		p := s.w.particles[e.id]
 		if p.crashed {
@@ -88,7 +138,7 @@ func (s *PoissonScheduler) StepActivation() bool {
 			continue
 		}
 		s.w.activate(e.id, s.proto, s.rng)
-		heap.Push(&s.queue, event{t: s.now + s.rng.ExpFloat64()/s.rates[e.id], id: e.id})
+		s.queue.push(event{t: s.now + s.rng.ExpFloat64()/s.rates[e.id], id: e.id})
 		return true
 	}
 	return false

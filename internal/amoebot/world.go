@@ -73,12 +73,19 @@ type World struct {
 
 	// round bookkeeping: a round completes once every non-crashed particle
 	// has activated at least once since the round began (§2.1). live counts
-	// non-crashed particles. Crashes mid-round can make the round boundary
-	// approximate by at most one activation per crash.
+	// non-crashed particles; roundStamp[id] is rounds+1 once particle id has
+	// activated in the current round, and activatedN counts those particles.
+	// Crashes mid-round can make the round boundary approximate by at most
+	// one activation per crash.
 	rounds        uint64
 	live          int
 	expandedCount int
-	activatedThis map[ParticleID]struct{}
+	roundStamp    []uint64
+	activatedN    int
+
+	// act is the Activation handed to the protocol, reused across
+	// activations (which are serialized) so none allocates.
+	act Activation
 
 	mlog *frame.MoveLog // accepted-move tap for delta frame encoding; may be nil
 }
@@ -102,9 +109,9 @@ func NewWorld(sigma0 *config.Config) (*World, error) {
 		return nil, fmt.Errorf("amoebot: starting configuration must be connected")
 	}
 	w := &World{
-		cells:         make(map[lattice.Point]cell, sigma0.N()),
-		tails:         sigma0.ToGrid(),
-		activatedThis: make(map[ParticleID]struct{}, sigma0.N()),
+		cells:      make(map[lattice.Point]cell, sigma0.N()),
+		tails:      sigma0.ToGrid(),
+		roundStamp: make([]uint64, sigma0.N()),
 	}
 	for i, pt := range sigma0.Points() {
 		p := &Particle{id: ParticleID(i), head: pt, tail: pt}
@@ -293,12 +300,16 @@ func (w *World) activate(id ParticleID, proto Protocol, rng *rand.Rand) {
 		return
 	}
 	w.activations++
-	proto.Activate(&Activation{w: w, p: p, rng: rng})
+	w.act = Activation{w: w, p: p, rng: rng}
+	proto.Activate(&w.act)
 	// Round bookkeeping.
-	w.activatedThis[id] = struct{}{}
-	if len(w.activatedThis) >= w.live {
+	if w.roundStamp[id] != w.rounds+1 {
+		w.roundStamp[id] = w.rounds + 1
+		w.activatedN++
+	}
+	if w.activatedN >= w.live {
 		w.rounds++
-		clear(w.activatedThis)
+		w.activatedN = 0
 	}
 }
 
