@@ -69,7 +69,7 @@ func (h eventHeap) up(j int) {
 func (h eventHeap) down(i, n int) {
 	for {
 		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		if j1 >= n {
 			break
 		}
 		j := j1 // left child

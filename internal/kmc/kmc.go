@@ -39,10 +39,10 @@
 // the words of the radius-2 bystanders in state s or t. Payload weights fold
 // from the two words plus one pass over the neighbor states for rotations. An
 // event therefore costs O(log n) for the weighted sampling plus O(1)
-// reweighting. Per-slot weights come
-// from the same compiled rule tables the Metropolis engine uses: the two
-// engines cannot disagree on the move set by construction, and
-// rule.Compression(λ) reproduces the pre-rule engine bit for bit.
+// reweighting. Per-slot weights come from the same compiled rule tables the
+// Metropolis engine uses: the two engines cannot disagree on the move set by
+// construction, and rule.Compression(λ) reproduces the pre-rule engine bit
+// for bit.
 package kmc
 
 import (
@@ -80,9 +80,9 @@ var xorDelta, selfK = buildXorDelta()
 // diskWin[k] is the offset's bit in ℓ's grid.Window.
 var diskOffsets = lattice.Disk(lattice.Point{}, 2)
 
-const diskCells = 19
+const diskCells = 19 // len(diskOffsets)
 
-var diskFlip, diskWin = func() (flip, win [diskCells]grid.PackedMasks) {
+var diskFlip, diskWin = func() (flip [diskCells]grid.PackedMasks, win [diskCells]grid.Window) {
 	for k, off := range diskOffsets {
 		flip[k] = grid.FlipPacked(lattice.Point{}.Sub(off))
 		win[k] = 1 << ((off.Y+2)*5 + off.X + 2)
@@ -850,7 +850,7 @@ func (c *Chain) repriceMovePay(l lattice.Point, d lattice.Dir, s uint8) {
 // reprice (their rotation weights read ℓ's state); a distance-2 bystander
 // reprices only when its masks changed in a byte its fold reads.
 func (c *Chain) repriceRotation(l lattice.Point, s, t uint8) {
-	win := grid.PackedMasks(c.g.Window(l))
+	win := c.g.Window(l)
 	base, slots := c.idx.slot(l), c.idx.disk
 	for k, off := range diskOffsets {
 		if win&diskWin[k] == 0 {
